@@ -2,7 +2,6 @@ package layout
 
 import (
 	"sort"
-	"sync"
 
 	"viva/internal/obs"
 )
@@ -54,18 +53,15 @@ func (l *Layout) Neighborhood(seeds []string, hops int) []int32 {
 				if si < 0 {
 					si = -si
 				}
-				s := &l.springs[si-1]
-				var nb *Body
-				if e > 0 {
-					nb = l.index[s.B]
-				} else {
-					nb = l.index[s.A]
+				nb := l.ends[si-1][1]
+				if e < 0 {
+					nb = l.ends[si-1][0]
 				}
-				if nb == nil || visited[nb.idx] {
+				if visited[nb] {
 					continue
 				}
-				visited[nb.idx] = true
-				next = append(next, int32(nb.idx))
+				visited[nb] = true
+				next = append(next, nb)
 			}
 		}
 		active = append(active, next...)
@@ -92,29 +88,6 @@ func (l *Layout) RefineLocal(algo Algorithm, seeds []string, hops, maxSteps int,
 		}
 	}
 	return maxSteps, d
-}
-
-// forActive is forBodies over an active-index list: contiguous shards of
-// the list, one per worker, stacks guaranteed.
-func (l *Layout) forActive(active []int32, fn func(worker, lo, hi int)) {
-	n := len(active)
-	w := l.workersFor(n)
-	for len(l.stacks) < w {
-		l.stacks = append(l.stacks, nil)
-	}
-	if w == 1 {
-		fn(0, 0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for k := 0; k < w; k++ {
-		go func(k int) {
-			defer wg.Done()
-			fn(k, k*n/w, (k+1)*n/w)
-		}(k)
-	}
-	wg.Wait()
 }
 
 // stepSubset advances only the active bodies one time step, computing
@@ -155,7 +128,7 @@ func (l *Layout) repelBarnesHutSubset(active []int32) {
 		theta = 0.7
 	}
 	chargeK := l.params.Charge
-	l.forActive(active, func(w, lo, hi int) {
+	l.forRange(len(active), func(w, lo, hi int) {
 		stack := l.stacks[w]
 		for k := lo; k < hi; k++ {
 			i := active[k]
@@ -174,7 +147,7 @@ func (l *Layout) repelBarnesHutSubset(active []int32) {
 // active list cannot change a single bit.
 func (l *Layout) repelNaiveSubset(active []int32) {
 	c := l.params.Charge
-	l.forActive(active, func(_, lo, hi int) {
+	l.forRange(len(active), func(_, lo, hi int) {
 		for k := lo; k < hi; k++ {
 			i := int(active[k])
 			a := l.bodies[i]
@@ -207,7 +180,7 @@ func (l *Layout) applySpringsSubset(active []int32) {
 	}
 	k := l.params.Spring
 	rest := l.params.SpringLength
-	l.forActive(active, func(_, lo, hi int) {
+	l.forRange(len(active), func(_, lo, hi int) {
 		for m := lo; m < hi; m++ {
 			i := active[m]
 			b := l.bodies[i]
@@ -217,7 +190,7 @@ func (l *Layout) applySpringsSubset(active []int32) {
 				if si < 0 {
 					si = -si
 				}
-				sf, ok := l.springForce(&l.springs[si-1], k, rest)
+				sf, ok := l.springForce(int(si-1), k, rest)
 				if !ok {
 					continue
 				}

@@ -18,6 +18,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"viva/internal/obs"
 )
@@ -132,8 +133,9 @@ type Layout struct {
 	// Reused per-step scratch state (see quadtree.go and the spring
 	// adjacency below): none of it escapes a Step call.
 	arena    quadArena
-	stacks   [][]int32 // one traversal stack per worker
-	adj      [][]int32 // body idx -> springs touching it, ±(spring index+1)
+	stacks   [][]int32  // one traversal stack per worker
+	adj      [][]int32  // body idx -> springs touching it, ±(spring index+1)
+	ends     [][2]int32 // spring index -> body indices of A and B (-1: unknown)
 	adjDirty bool
 	// stiff[i] sums the strengths of body i's incident springs (rebuilt
 	// with the adjacency). The integrator uses it to clamp the local time
@@ -379,14 +381,21 @@ func (l *Layout) workersFor(n int) int {
 	return p
 }
 
-// forBodies runs fn over contiguous shards of the body slice, one shard
-// per worker, and guarantees l.stacks[w] exists for each worker. With a
-// single worker fn runs inline on the caller's goroutine. fn must only
-// write state owned by its own bodies (or its own worker slot), which is
-// what makes the fan-out race-free.
-func (l *Layout) forBodies(fn func(worker, lo, hi int)) {
-	n := len(l.bodies)
-	w := l.workerCount()
+// workChunk is how many units a worker of forRange claims at a time.
+// Per-body cost varies (a Barnes-Hut body in a dense cluster opens more
+// cells, a hub has more springs), so fixed contiguous shards left workers
+// idle at the tail; small chunks from a shared counter balance the load.
+const workChunk = 64
+
+// forRange runs fn over [0, n) in workChunk-sized ranges that workers
+// claim from an atomic counter, and guarantees l.stacks[w] exists for
+// each worker. With a single worker fn runs inline over the whole range.
+// fn must only write state owned by its own units (or its own worker
+// slot), which is what makes the fan-out race-free; and since a unit's
+// result then cannot depend on which worker ran it, the assignment never
+// changes a bit.
+func (l *Layout) forRange(n int, fn func(worker, lo, hi int)) {
+	w := l.workersFor(n)
 	for len(l.stacks) < w {
 		l.stacks = append(l.stacks, nil)
 	}
@@ -394,15 +403,24 @@ func (l *Layout) forBodies(fn func(worker, lo, hi int)) {
 		fn(0, 0, n)
 		return
 	}
-	var wg sync.WaitGroup
-	wg.Add(w)
+	var run struct { // one allocation for both, as the goroutines share them
+		next atomic.Int64
+		wg   sync.WaitGroup
+	}
+	run.wg.Add(w)
 	for k := 0; k < w; k++ {
 		go func(k int) {
-			defer wg.Done()
-			fn(k, k*n/w, (k+1)*n/w)
+			defer run.wg.Done()
+			for {
+				lo := int(run.next.Add(workChunk)) - workChunk
+				if lo >= n {
+					return
+				}
+				fn(k, lo, min(lo+workChunk, n))
+			}
 		}(k)
 	}
-	wg.Wait()
+	run.wg.Wait()
 }
 
 // naiveParallelMin is the body count below which the naive engine always
@@ -432,7 +450,7 @@ func (l *Layout) repelNaive() {
 		}
 		return
 	}
-	l.forBodies(func(_, lo, hi int) {
+	l.forRange(len(l.bodies), func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			a := l.bodies[i]
 			f := a.force
@@ -466,19 +484,20 @@ func coulomb(a, b *Body, c float64) Point {
 	return d.Scale(mag / dist)
 }
 
-// springForce returns the Hooke force on spring s's A endpoint (B receives
-// the exact negation). Zero for degenerate springs.
-func (l *Layout) springForce(s *Spring, k, rest float64) (Point, bool) {
-	a, b := l.index[s.A], l.index[s.B]
-	if a == nil || b == nil {
+// springForce returns the Hooke force on spring si's A endpoint (B
+// receives the exact negation). Zero for degenerate springs. It reads the
+// endpoints from the adjacency build, which must be current.
+func (l *Layout) springForce(si int, k, rest float64) (Point, bool) {
+	e := l.ends[si]
+	if e[0] < 0 || e[1] < 0 {
 		return Point{}, false
 	}
-	d := b.Pos.Sub(a.Pos)
+	d := l.bodies[e[1]].Pos.Sub(l.bodies[e[0]].Pos)
 	dist := d.Norm()
 	if dist < 1e-6 {
 		return Point{}, false
 	}
-	strength := s.Strength
+	strength := l.springs[si].Strength
 	if strength <= 0 {
 		strength = 1
 	}
@@ -488,8 +507,9 @@ func (l *Layout) springForce(s *Spring, k, rest float64) (Point, bool) {
 
 // buildAdjacency rebuilds the spring→body adjacency: for each body, the
 // springs touching it in ascending spring order, encoded ±(index+1) for
-// the A/B endpoint. Rebuilt only when SetSprings/RemoveBody(-ies) changed
-// the edge set or bodies were added since the last build.
+// the A/B endpoint; and for each spring, its endpoints' body indices.
+// Rebuilt only when SetSprings/RemoveBody(-ies) changed the edge set or
+// bodies were added since the last build.
 func (l *Layout) buildAdjacency() {
 	for i := range l.adj {
 		l.adj[i] = l.adj[i][:0]
@@ -505,12 +525,15 @@ func (l *Layout) buildAdjacency() {
 	for i := range l.stiff {
 		l.stiff[i] = 0
 	}
+	l.ends = l.ends[:0]
 	for si := range l.springs {
 		s := &l.springs[si]
 		a, b := l.index[s.A], l.index[s.B]
 		if a == nil || b == nil {
+			l.ends = append(l.ends, [2]int32{-1, -1})
 			continue
 		}
+		l.ends = append(l.ends, [2]int32{int32(a.idx), int32(b.idx)})
 		l.adj[a.idx] = append(l.adj[a.idx], int32(si+1))
 		l.adj[b.idx] = append(l.adj[b.idx], int32(-(si + 1)))
 		w := s.Strength
@@ -526,28 +549,27 @@ func (l *Layout) buildAdjacency() {
 // applySprings accumulates the Hooke attractions. The serial path walks
 // the spring list once; the parallel path has each body pull its own
 // incident springs from the prebuilt adjacency, so every write stays on
-// the worker's own shard. Per body, both paths apply bitwise-equal terms
+// a body the worker owns. Per body, both paths apply bitwise-equal terms
 // in ascending spring order — results are identical at every Parallelism.
 func (l *Layout) applySprings() {
 	k := l.params.Spring
 	rest := l.params.SpringLength
+	if l.adjDirty || len(l.adj) != len(l.bodies) {
+		l.buildAdjacency()
+	}
 	if l.workerCount() == 1 || len(l.springs) == 0 {
-		for si := range l.springs {
-			s := &l.springs[si]
-			f, ok := l.springForce(s, k, rest)
+		for si, e := range l.ends {
+			f, ok := l.springForce(si, k, rest)
 			if !ok {
 				continue
 			}
-			a, b := l.index[s.A], l.index[s.B]
+			a, b := l.bodies[e[0]], l.bodies[e[1]]
 			a.force = a.force.Add(f)
 			b.force = b.force.Sub(f)
 		}
 		return
 	}
-	if l.adjDirty || len(l.adj) != len(l.bodies) {
-		l.buildAdjacency()
-	}
-	l.forBodies(func(_, lo, hi int) {
+	l.forRange(len(l.bodies), func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			b := l.bodies[i]
 			f := b.force
@@ -556,7 +578,7 @@ func (l *Layout) applySprings() {
 				if si < 0 {
 					si = -si
 				}
-				sf, ok := l.springForce(&l.springs[si-1], k, rest)
+				sf, ok := l.springForce(int(si-1), k, rest)
 				if !ok {
 					continue
 				}

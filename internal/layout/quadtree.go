@@ -168,10 +168,11 @@ func (a *quadArena) insert(n int32, bodies []*Body, bi int32, depth int) {
 
 // forceOn accumulates the Barnes-Hut approximated repulsion on body bi by
 // an iterative traversal from root, using (and returning, possibly grown)
-// the caller's stack. Children are pushed in reverse so quadrants are
-// visited in 0..3 order — the accumulation order is a fixed function of
-// the tree, independent of how bodies are sharded across workers, which
-// is what keeps parallel runs bit-for-bit equal to serial ones.
+// the caller's stack. Non-empty children are pushed in reverse so
+// quadrants are visited in 0..3 order — the accumulation order is a fixed
+// function of the tree, independent of how bodies are sharded across
+// workers, which is what keeps parallel runs bit-for-bit equal to serial
+// ones.
 func (a *quadArena) forceOn(root int32, bodies []*Body, bi int32, theta, chargeK float64, stack []int32) (Point, []int32) {
 	var out Point
 	b := bodies[bi]
@@ -184,9 +185,6 @@ func (a *quadArena) forceOn(root int32, bodies []*Body, bi int32, theta, chargeK
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		nd := &a.nodes[n]
-		if nd.count == 0 {
-			continue
-		}
 		if nd.body == bi && nd.count == 1 {
 			continue
 		}
@@ -217,7 +215,11 @@ func (a *quadArena) forceOn(root int32, bodies []*Body, bi int32, theta, chargeK
 			out.Y += dy / d * mag
 			continue
 		}
-		stack = append(stack, nd.children+3, nd.children+2, nd.children+1, nd.children)
+		for q := nd.children + 3; q >= nd.children; q-- {
+			if a.nodes[q].count > 0 {
+				stack = append(stack, q)
+			}
+		}
 	}
 	return out, stack
 }
@@ -234,7 +236,7 @@ func (l *Layout) repelBarnesHut() {
 		theta = 0.7
 	}
 	chargeK := l.params.Charge
-	l.forBodies(func(w, lo, hi int) {
+	l.forRange(len(l.bodies), func(w, lo, hi int) {
 		stack := l.stacks[w]
 		for i := lo; i < hi; i++ {
 			b := l.bodies[i]

@@ -39,33 +39,36 @@ func fabricView(t *testing.T, hostsPerCluster int) *core.View {
 }
 
 // The acceptance property: at a fixed viewport, the LOD payload must not
-// grow with the total node count — off-screen detail collapses into the
-// hierarchy's groups, whose number the platform shape fixes.
+// grow with the total node count at any zoom — off-screen detail
+// collapses into the hierarchy's groups, whose number the platform shape
+// fixes. Past the zoom that reaches the leaves' depth, off-screen leaves
+// still fold into their parents.
 func TestGraphLODBoundedPayload(t *testing.T) {
-	shape := func(hosts int) (nodes, groups, edges int) {
+	shape := func(hosts int, zoom string) (nodes, groups, edges int) {
 		srv := httptest.NewServer(New(fabricView(t, hosts)).Handler())
 		defer srv.Close()
 		// A viewport far outside the layout: nothing visible, everything
 		// coarsened.
 		var lod lodJSON
-		getJSON(t, srv.URL+"/api/graph?steps=0&viewport=1e7,1e7,1.1e7,1.1e7&zoom=1", &lod)
+		getJSON(t, srv.URL+"/api/graph?steps=0&viewport=1e7,1e7,1.1e7,1.1e7&zoom="+zoom, &lod)
 		return len(lod.Nodes), len(lod.Groups), len(lod.Edges)
 	}
-	n1, g1, e1 := shape(20)
-	n2, g2, e2 := shape(200)
-	if n1 != 0 || n2 != 0 {
-		t.Errorf("visible nodes = %d/%d, want 0 (viewport is empty)", n1, n2)
+	for _, zoom := range []string{"1", "4", "16", "1024"} {
+		n1, g1, e1 := shape(20, zoom)
+		n2, g2, e2 := shape(200, zoom)
+		if n1 != 0 || n2 != 0 {
+			t.Errorf("zoom %s: visible nodes = %d/%d, want 0 (viewport is empty)", zoom, n1, n2)
+		}
+		if g1 == 0 {
+			t.Fatalf("zoom %s: no coarse groups returned", zoom)
+		}
+		if g1 != g2 {
+			t.Errorf("zoom %s: coarse groups grew with node count: %d at 20 hosts vs %d at 200", zoom, g1, g2)
+		}
+		if e1 != e2 {
+			t.Errorf("zoom %s: coarse edges grew with node count: %d vs %d", zoom, e1, e2)
+		}
 	}
-	if g1 == 0 {
-		t.Fatal("no coarse groups returned")
-	}
-	if g1 != g2 {
-		t.Errorf("coarse groups grew with node count: %d at 20 hosts vs %d at 200", g1, g2)
-	}
-	if e1 != e2 {
-		t.Errorf("coarse edges grew with node count: %d vs %d", e1, e2)
-	}
-	t.Logf("fixed viewport: %d groups, %d edges at both 20 and 200 hosts/cluster", g1, e1)
 }
 
 // Zooming in on one corner must keep full detail for what is inside the

@@ -137,22 +137,54 @@ func (c *chunkCache) get(col, chunk int, m *chunkMeta) (*chunkData, error) {
 	return data, nil
 }
 
+// inflater is a reusable flate decompressor with its input reader and
+// the scratch byte buffers of one chunk read. Only these scratch buffers
+// are pooled: the decoded chunk is always a fresh slice, because the
+// cache hands it to concurrent readers.
+type inflater struct {
+	src    bytes.Reader
+	fr     io.ReadCloser // also a flate.Resetter
+	stored []byte
+	raw    []byte
+	probe  [1]byte
+}
+
+var inflaters = sync.Pool{New: func() any {
+	inf := &inflater{}
+	inf.fr = flate.NewReader(&inf.src)
+	return inf
+}}
+
+// grow returns b resized to n, reallocating only when it is too small.
+func grow(b []byte, n int) []byte {
+	if cap(b) < n {
+		return make([]byte, n)
+	}
+	return b[:n]
+}
+
 // readChunk preads and decodes one chunk blob.
 func readChunk(r io.ReaderAt, m *chunkMeta) (*chunkData, error) {
-	stored := make([]byte, m.clen)
-	if _, err := r.ReadAt(stored, int64(m.off)); err != nil {
+	inf := inflaters.Get().(*inflater)
+	defer inflaters.Put(inf)
+	inf.stored = grow(inf.stored, int(m.clen))
+	if _, err := r.ReadAt(inf.stored, int64(m.off)); err != nil {
 		return nil, fmt.Errorf("store: reading chunk at %d: %w", m.off, err)
 	}
-	raw := stored
+	raw := inf.stored
 	if m.enc == encFlate {
-		fr := flate.NewReader(bytes.NewReader(stored))
-		raw = make([]byte, m.ulen)
-		if _, err := io.ReadFull(fr, raw); err != nil {
+		inf.src.Reset(inf.stored)
+		if err := inf.fr.(flate.Resetter).Reset(&inf.src, nil); err != nil {
+			return nil, fmt.Errorf("store: decompressing chunk at %d: %w", m.off, err)
+		}
+		inf.raw = grow(inf.raw, int(m.ulen))
+		raw = inf.raw
+		if _, err := io.ReadFull(inf.fr, raw); err != nil {
 			return nil, fmt.Errorf("store: decompressing chunk at %d: %w", m.off, err)
 		}
 		// A corrupt stream may inflate past ulen; reject instead of
 		// silently truncating.
-		if n, _ := fr.Read(make([]byte, 1)); n != 0 {
+		if n, _ := inf.fr.Read(inf.probe[:]); n != 0 {
 			return nil, fmt.Errorf("store: chunk at %d inflates past its declared size", m.off)
 		}
 	}

@@ -25,6 +25,12 @@ type chaosClient struct {
 	behavior string
 	prev     uint64
 	resumes  int
+	// dropped totals the drop counts this client's Takes reported; a
+	// staller's holdFrom is the last sequence number it took before it
+	// stalled (held marks that it did).
+	dropped  uint64
+	held     bool
+	holdFrom uint64
 	// closedEarly marks a client whose reconnect raced hub shutdown —
 	// a legitimate end state, exempt from the final-seq convergence
 	// check. Written before the client goroutine exits, read after
@@ -39,6 +45,7 @@ func (c *chaosClient) failf(format string, args ...any) {
 
 // consume verifies one Take batch against the continuity invariant.
 func (c *chaosClient) consume(snaps []*Snapshot, dropped uint64) {
+	c.dropped += dropped
 	expect := c.prev + dropped + 1
 	for _, sn := range snaps {
 		if sn.Full {
@@ -73,6 +80,7 @@ func TestStreamChaos(t *testing.T) {
 		clients, events = 500, 5000
 	}
 
+	const subRing = 16
 	cold := buildCold(t, 16, events, 42)
 	_, end := cold.Window()
 	// Pace the replay to ~1.5s wall, ticking every 2ms, so the run has
@@ -81,6 +89,7 @@ func TestStreamChaos(t *testing.T) {
 		Tick:           2 * time.Millisecond,
 		MaxTick:        50 * time.Millisecond,
 		MaxSubscribers: clients + 64,
+		SubRing:        subRing,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -90,11 +99,24 @@ func TestStreamChaos(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	flightBase := obs.Flight.Seq()
+	dropBase := obsDropped.Value()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	pubDone := make(chan error, 1)
-	go func() { pubDone <- s.Run(ctx) }()
+	pubFinished := make(chan struct{})
+	go func() {
+		pubDone <- s.Run(ctx)
+		close(pubFinished)
+	}()
+	finished := func() bool {
+		select {
+		case <-pubFinished:
+			return true
+		default:
+			return false
+		}
+	}
 
 	rng := rand.New(rand.NewSource(7))
 	var wg sync.WaitGroup
@@ -125,7 +147,6 @@ func TestStreamChaos(t *testing.T) {
 				return
 			}
 			var buf []*Snapshot
-			stalled := false
 			for {
 				<-sub.Notify()
 				snaps, dropped, closed := sub.Take(buf)
@@ -138,9 +159,16 @@ func TestStreamChaos(t *testing.T) {
 				case "slow":
 					time.Sleep(time.Duration(1+crng.Intn(8)) * time.Millisecond)
 				case "staller":
-					if !stalled && c.prev > 20 {
-						stalled = true
-						time.Sleep(time.Duration(100+crng.Intn(200)) * time.Millisecond)
+					if !c.held && c.prev > 20 {
+						// Stall until the hub has published more than
+						// subRing snapshots past the last one taken, so
+						// this ring has provably overflowed whatever the
+						// tick rate; stop early only if the publisher
+						// ends first.
+						c.held, c.holdFrom = true, c.prev
+						for s.Hub.Seq() <= c.holdFrom+subRing && !finished() {
+							time.Sleep(time.Millisecond)
+						}
 					}
 				case "disconnector":
 					if c.prev > uint64(10+crng.Intn(50)) {
@@ -193,9 +221,17 @@ func TestStreamChaos(t *testing.T) {
 	if rep.Max > 5*time.Second {
 		t.Fatalf("publisher stalled: max tick latency %v", rep.Max)
 	}
+	overflowed := 0
 	for _, c := range all {
 		if msg := c.fails.Load(); msg != nil {
 			t.Fatal(msg)
+		}
+		if c.held && rep.FinalSeq > c.holdFrom+subRing {
+			overflowed++
+			if c.dropped == 0 {
+				t.Fatalf("client %d stalled at seq %d while %d more snapshots were published into a %d-slot ring, but saw no drops",
+					c.id, c.holdFrom, rep.FinalSeq-c.holdFrom, subRing)
+			}
 		}
 		if c.behavior != "disconnector" && !c.closedEarly && c.prev != rep.FinalSeq {
 			t.Fatalf("client %d (%s) ended at seq %d, final is %d",
@@ -203,11 +239,11 @@ func TestStreamChaos(t *testing.T) {
 		}
 	}
 
-	// The flight recorder is the run's black box: with stallers dropping
-	// frames by design, sub_drop events must land in the ring, and every
-	// shed the report counts must leave a shed event behind. The ring may
-	// have wrapped, so count by kind over what survived plus what the
-	// global sequence says happened since the baseline.
+	// The flight recorder is the run's black box: sub_drop events land in
+	// the ring exactly when the drop counter moved, and every shed the
+	// report counts must leave a shed event behind. The ring may have
+	// wrapped, so count by kind over what survived plus what the global
+	// sequence says happened since the baseline.
 	flightKinds := make(map[string]int)
 	for _, ev := range obs.Flight.Snapshot(0) {
 		if ev.Seq > flightBase {
@@ -218,9 +254,15 @@ func TestStreamChaos(t *testing.T) {
 	if recorded == 0 {
 		t.Fatal("chaos run recorded no flight events")
 	}
-	if flightKinds["sub_drop"] == 0 && recorded <= uint64(obs.Flight.Len()) {
-		t.Fatalf("stalled clients dropped frames but no sub_drop events in flight ring: %v", flightKinds)
+	drops := obsDropped.Value() - dropBase
+	if drops == 0 && flightKinds["sub_drop"] > 0 {
+		t.Fatalf("no snapshot was dropped but the flight ring has sub_drop events: %v", flightKinds)
 	}
+	if drops > 0 && flightKinds["sub_drop"] == 0 && recorded <= uint64(obs.Flight.Len()) {
+		t.Fatalf("%d snapshots dropped but no sub_drop events in flight ring: %v", drops, flightKinds)
+	}
+	t.Logf("%d stallers overflowed their rings; %d snapshots dropped, %d sub_drop events",
+		overflowed, drops, flightKinds["sub_drop"])
 	if rep.Sheds > 0 && flightKinds["shed"] == 0 && recorded <= uint64(obs.Flight.Len()) {
 		t.Fatalf("report counts %d sheds but flight ring has none: %v", rep.Sheds, flightKinds)
 	}

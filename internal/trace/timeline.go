@@ -50,6 +50,9 @@ type Timeline struct {
 	// consumers (aggregation.LiveWindow) can keep cursors across appends
 	// and fall back to a full recompute exactly when the past changed.
 	epoch uint64
+	// owner is the trace holding this timeline (nil for a free-standing
+	// one); Set reports every new first point to it for Trace.Window.
+	owner *Trace
 }
 
 // Epoch returns the history-rewrite counter: it advances on any mutation
@@ -91,6 +94,9 @@ func NewTimeline(points ...Point) *Timeline {
 // query rebuilds.
 func (tl *Timeline) Set(t, v float64) {
 	n := len(tl.points)
+	if tl.owner != nil && (n == 0 || t < tl.points[0].T) {
+		tl.owner.noteFirst(t)
+	}
 	if n == 0 || t > tl.points[n-1].T {
 		tl.points = append(tl.points, Point{t, v})
 		if ix := tl.idx.Load(); ix != nil {

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -73,6 +74,10 @@ type Trace struct {
 	edgeSet   map[Edge]bool
 	states    map[string][]statePoint
 	end       float64 // observation window upper bound
+	// start is the earliest point of any timeline, kept current by the
+	// timelines themselves (see Timeline.owner); valid when hasStart.
+	start    float64
+	hasStart bool
 }
 
 // New returns an empty trace.
@@ -248,7 +253,7 @@ func (tr *Trace) ensure(resource, metric string) (*Timeline, error) {
 	k := varKey{resource, metric}
 	tl, ok := tr.vars[k]
 	if !ok {
-		tl = &Timeline{}
+		tl = &Timeline{owner: tr}
 		tr.vars[k] = tl
 		tr.varOrder = append(tr.varOrder, k)
 	}
@@ -308,20 +313,24 @@ func (tr *Trace) SetEnd(t float64) {
 }
 
 // Window returns the observation window [start, end]. Start is the
-// earliest point of any timeline (0 when the trace is empty).
+// earliest point of any timeline (0 when the trace is empty). It costs
+// O(1): a timeline's first point only ever moves earlier (points are
+// never deleted, and Compact keeps the first), so every insert that
+// becomes a timeline's first point reports to noteFirst, and the
+// minimum over those reports is the minimum over the timelines.
 func (tr *Trace) Window() (start, end float64) {
-	first := true
-	for _, k := range tr.varOrder {
-		tl := tr.vars[k]
-		if tl.Len() == 0 {
-			continue
-		}
-		if first || tl.FirstTime() < start {
-			start = tl.FirstTime()
-			first = false
-		}
+	return tr.start, tr.end
+}
+
+// noteFirst records that one of the trace's timelines now starts at t. A
+// NaN time is unordered, so it is never the earliest.
+func (tr *Trace) noteFirst(t float64) {
+	if math.IsNaN(t) {
+		return
 	}
-	return start, tr.end
+	if !tr.hasStart || t < tr.start {
+		tr.start, tr.hasStart = t, true
+	}
 }
 
 // NumVariables returns how many (resource, metric) timelines the trace

@@ -33,18 +33,20 @@ func (vp Viewport) contains(x, y float64) bool {
 // LODDepth maps the client zoom factor to the hierarchy depth used for
 // out-of-view groups: zoom 1 (the whole layout on screen) coarsens to
 // depth 1, and every doubling of magnification reveals one more level.
+// The depth stops one level above the deepest leaves (and never goes
+// below the root), so off-screen leaves always fold into their parent
+// at least: at any zoom the off-screen part of the payload is bounded by
+// the hierarchy's width above the leaves, not by the leaf count.
 func LODDepth(zoom float64, maxDepth int) int {
 	if zoom <= 0 {
 		zoom = 1
 	}
-	d := 1 + int(math.Floor(math.Log2(zoom)))
-	if d < 0 {
-		d = 0
+	// Clamp before converting: an infinite or NaN zoom has no int value.
+	d := maxDepth - 1
+	if l := 1 + math.Floor(math.Log2(zoom)); l < float64(d) {
+		d = int(l)
 	}
-	if d > maxDepth {
-		d = maxDepth
-	}
-	return d
+	return max(0, d)
 }
 
 // LODGroup is one out-of-view coarse group: the aggregate of every

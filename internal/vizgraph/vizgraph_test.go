@@ -396,3 +396,22 @@ func TestNodeAvailabilityDefaultsToOne(t *testing.T) {
 		}
 	}
 }
+
+// LODDepth reveals one level per doubling of zoom but stops one level
+// above the leaves, and stays defined for any zoom a query can carry.
+func TestLODDepth(t *testing.T) {
+	for _, c := range []struct {
+		zoom     float64
+		maxDepth int
+		want     int
+	}{
+		{1, 3, 1}, {1.9, 3, 1}, {2, 3, 2}, {3.9, 3, 2}, {4, 3, 2}, {16, 3, 2}, {1024, 3, 2},
+		{0.5, 3, 0}, {1e-300, 3, 0}, {0, 3, 1}, {-2, 3, 1},
+		{math.Inf(1), 3, 2}, {math.NaN(), 3, 2},
+		{1, 1, 0}, {1024, 1, 0}, {1, 0, 0}, {64, 8, 7},
+	} {
+		if got := LODDepth(c.zoom, c.maxDepth); got != c.want {
+			t.Errorf("LODDepth(%g, %d) = %d, want %d", c.zoom, c.maxDepth, got, c.want)
+		}
+	}
+}
