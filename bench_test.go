@@ -393,10 +393,12 @@ func BenchmarkLayoutBarnesHut(b *testing.B) {
 	}
 }
 
-// BenchmarkLayoutNaiveParallel compares the sharded all-pairs engine
-// against the serial i<j loop on graphs big enough to shard. The parallel
-// path does every pair twice (once per body), so its single-core cost is
-// ~2× serial; the win appears at ≥2 workers on real cores.
+// BenchmarkLayoutNaiveParallel compares the naive engine's per-body
+// kernel against the serial i<j loop. At n=1000 both settings take the
+// serial loop (the layout is below naiveParallelMin, 2048 bodies); at
+// n=5000, p=4 shards the per-body kernel, which evaluates every pair
+// twice (once per body), so its single-core cost is ~2× serial; the win
+// appears at ≥2 workers on real cores.
 func BenchmarkLayoutNaiveParallel(b *testing.B) {
 	for _, n := range []int{1000, 5000} {
 		for _, par := range []int{1, 4} {

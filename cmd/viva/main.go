@@ -6,7 +6,7 @@
 // Usage:
 //
 //	viva -trace trace.viva [-level n] [-slice a:b] [-o view.svg] [-info]
-//	     [-aggregate group,group,...] [-naive] [-multilevel] [-steps n]
+//	     [-aggregate group,group,...] [-multilevel] [-steps n]
 //	     [-gantt gantt.svg] [-treemap treemap.svg]
 //	viva compact [-chunk n] [-parallel n] <trace> <out.vvc>
 //
@@ -32,7 +32,6 @@ import (
 	"viva/internal/core"
 	"viva/internal/gantt"
 	"viva/internal/ingest"
-	"viva/internal/layout"
 	"viva/internal/obs"
 	"viva/internal/render"
 	"viva/internal/store"
@@ -52,7 +51,6 @@ func main() {
 	aggregate := flag.String("aggregate", "", "comma-separated groups to aggregate")
 	out := flag.String("o", "view.svg", "output SVG file")
 	info := flag.Bool("info", false, "print a trace summary instead of rendering")
-	naive := flag.Bool("naive", false, "use the O(n^2) layout instead of Barnes-Hut")
 	multilevel := flag.Bool("multilevel", false, "cold-start the layout with the multilevel V-cycle (coarsen along the hierarchy, solve, refine) before stabilizing — much faster to converge on large graphs")
 	steps := flag.Int("steps", 3000, "maximum layout iterations")
 	parallel := flag.Int("parallel", 0, "worker goroutines for trace ingestion and the layout step (0: GOMAXPROCS, 1: serial; same output either way)")
@@ -110,9 +108,6 @@ func main() {
 	v, err := core.NewView(tr)
 	if err != nil {
 		fatal(err)
-	}
-	if *naive {
-		v.SetAlgorithm(layout.Naive)
 	}
 	v.SetParallelism(*parallel)
 	if *level >= 0 {

@@ -53,7 +53,6 @@ type View struct {
 	mapping vizgraph.Mapping
 	slice   aggregation.TimeSlice
 	lay     *layout.Layout
-	algo    layout.Algorithm
 
 	graph  *vizgraph.Graph
 	dirty  bool
@@ -139,7 +138,6 @@ func NewViewOf(src aggregation.Source) (*View, error) {
 		mapping: vizgraph.DefaultMapping(),
 		slice:   aggregation.TimeSlice{Start: start, End: end},
 		lay:     layout.New(layout.DefaultParams()),
-		algo:    layout.BarnesHut,
 		dirty:   true,
 	}
 	if _, err := v.Graph(); err != nil {
@@ -196,10 +194,6 @@ func (v *View) ShiftTimeSlice(dt float64) {
 	v.dirty = true
 	v.touch()
 }
-
-// SetAlgorithm selects the repulsion engine (Naive for small graphs,
-// BarnesHut — the default — for large ones).
-func (v *View) SetAlgorithm(a layout.Algorithm) { v.algo = a; v.converged = false; v.touch() }
 
 // RefreshSource tells the view its underlying data changed — the live
 // streaming publisher calls it each tick after appending to the trace.
@@ -474,7 +468,7 @@ func (v *View) SetParallelism(n int) {
 func (v *View) StepLayout(n int) float64 {
 	var d float64
 	for i := 0; i < n; i++ {
-		d = v.lay.Step(v.algo)
+		d = v.lay.Step(layout.BarnesHut)
 	}
 	return d
 }
@@ -505,7 +499,7 @@ func (v *View) Stabilize(maxSteps int, eps float64) int {
 		}
 		active := v.lay.Neighborhood(seeds, relayoutHops)
 		if float64(len(active)) <= maxActiveFraction*float64(v.lay.Len()) {
-			steps, res := v.lay.RefineLocal(v.algo, seeds, relayoutHops, maxSteps, eps)
+			steps, res := v.lay.RefineLocal(layout.BarnesHut, seeds, relayoutHops, maxSteps, eps)
 			if res < eps {
 				obsRelayoutIncremental.Inc()
 				v.perturbed = nil
@@ -517,7 +511,7 @@ func (v *View) Stabilize(maxSteps int, eps float64) int {
 		}
 	}
 	obsRelayoutCold.Inc()
-	steps := v.lay.Run(v.algo, maxSteps, eps)
+	steps := v.lay.Run(layout.BarnesHut, maxSteps, eps)
 	v.converged = steps < maxSteps || maxSteps <= 0
 	v.perturbed = nil
 	v.lastRelayout = RelayoutInfo{Mode: "cold", Steps: steps}
@@ -535,7 +529,7 @@ func (v *View) StabilizeMultilevel(eps float64) layout.MultilevelStats {
 		mp.Eps = eps
 	}
 	mp.Parent = v.layoutParentFunc()
-	stats := v.lay.RunMultilevel(v.algo, mp)
+	stats := v.lay.RunMultilevel(layout.BarnesHut, mp)
 	v.converged = stats.Converged
 	v.perturbed = nil
 	v.lastRelayout = RelayoutInfo{Mode: "multilevel", Steps: stats.TotalSteps, Residual: stats.Residual}

@@ -30,6 +30,8 @@ import (
 var (
 	obsSteps = obs.Default.Counter("viva_layout_steps_total",
 		"Force-simulation steps advanced.")
+	obsLocalSteps = obs.Default.Counter("viva_layout_local_steps_total",
+		"Incremental (active-set) layout steps taken.")
 	obsResidual = obs.Default.Gauge("viva_layout_residual",
 		"Maximum body displacement of the last step (convergence residual).")
 	obsBodies = obs.Default.Gauge("viva_layout_bodies",
@@ -132,6 +134,8 @@ type Layout struct {
 
 	// Reused per-step scratch state (see quadtree.go and the spring
 	// adjacency below): none of it escapes a Step call.
+	active   []int32 // the current step's body indices, nil for all
+	root     int32   // the current Barnes-Hut step's quadtree root
 	arena    quadArena
 	stacks   [][]int32  // one traversal stack per worker
 	adj      [][]int32  // body idx -> springs touching it, ±(spring index+1)
@@ -323,50 +327,94 @@ const (
 
 // Step advances the simulation by one time step with the given engine and
 // returns the maximum displacement, the convergence measure.
-func (l *Layout) Step(algo Algorithm) float64 {
-	span := obs.StartSpan(obs.StageLayout)
-	if l.adjDirty || len(l.adj) != len(l.bodies) {
-		l.buildAdjacency() // integrate needs fresh per-body stiffness
-	}
-	for _, b := range l.bodies {
-		b.force = Point{}
-	}
-	switch algo {
-	case BarnesHut:
-		l.repelBarnesHut()
-	default:
-		l.repelNaive()
-	}
-	l.applySprings()
-	d := l.integrate()
-	span.End()
-	obsSteps.Inc()
-	obsResidual.Set(d)
-	obsBodies.Set(float64(len(l.bodies)))
-	return d
-}
+func (l *Layout) Step(algo Algorithm) float64 { return l.step(algo, nil) }
 
 // Run iterates until the maximum displacement per step falls below eps or
 // maxSteps is reached, returning the number of steps taken.
 func (l *Layout) Run(algo Algorithm, maxSteps int, eps float64) int {
+	steps, _ := l.relax(algo, nil, maxSteps, eps)
+	return steps
+}
+
+// relax steps the bodies of active (nil: every body) until one step's
+// maximum displacement falls below eps or maxSteps is reached. It returns
+// the steps taken and the last step's residual. Run, RefineLocal and each
+// V-cycle level of RunMultilevel are this loop.
+func (l *Layout) relax(algo Algorithm, active []int32, maxSteps int, eps float64) (int, float64) {
+	var d float64
 	for i := 0; i < maxSteps; i++ {
-		if l.Step(algo) < eps {
-			return i + 1
+		if d = l.step(algo, active); d < eps {
+			return i + 1, d
 		}
 	}
-	return maxSteps
+	return maxSteps, d
+}
+
+// step advances the bodies of active (sorted, deduplicated body indices;
+// nil means every body) by one time step and returns their maximum
+// displacement. Forces are always taken against the whole graph — the
+// quadtree spans every body and springs to bodies outside active pull
+// normally — so a local step relaxes its bodies into the real surrounding
+// field while everything else stays put.
+func (l *Layout) step(algo Algorithm, active []int32) float64 {
+	span := obs.StartSpan(obs.StageLayout)
+	l.forces(algo, active)
+	d := l.integrate()
+	l.active = nil
+	span.End()
+	if active == nil {
+		obsSteps.Inc()
+		obsBodies.Set(float64(len(l.bodies)))
+	} else {
+		obsLocalSteps.Inc()
+	}
+	obsResidual.Set(d)
+	return d
+}
+
+// forces sets the net force (repulsion, then springs) on every body of
+// active (nil: every body) and leaves active as the step's index set.
+func (l *Layout) forces(algo Algorithm, active []int32) {
+	if l.adjDirty || len(l.adj) != len(l.bodies) {
+		l.buildAdjacency()
+	}
+	l.active = active
+	switch {
+	case algo == BarnesHut:
+		l.root = l.arena.build(l.bodies)
+		obsQuadNodes.Set(float64(len(l.arena.nodes)))
+		obsQuadDepth.Set(float64(l.arena.maxDepth))
+		l.forRange(l.units(), (*Layout).barnesHutForces)
+	case active == nil && (l.workersFor(len(l.bodies)) == 1 || len(l.bodies) < naiveParallelMin):
+		l.naivePairs()
+	default:
+		l.forRange(l.units(), (*Layout).naiveForces)
+	}
+}
+
+// units is the size of the current step's index set.
+func (l *Layout) units() int {
+	if l.active == nil {
+		return len(l.bodies)
+	}
+	return len(l.active)
+}
+
+// unit maps position k of the current step's index set to a body index.
+func (l *Layout) unit(k int) int {
+	if l.active == nil {
+		return k
+	}
+	return int(l.active[k])
 }
 
 // parallelGrain is the minimum number of bodies per worker: below it the
 // goroutine fan-out costs more than the force arithmetic it spreads.
 const parallelGrain = 128
 
-// workerCount returns the number of goroutines the force passes use:
-// min(Parallelism or GOMAXPROCS, n/parallelGrain), at least 1.
-func (l *Layout) workerCount() int { return l.workersFor(len(l.bodies)) }
-
 // workersFor sizes the fan-out for a pass over n units of work (all
-// bodies for the global step, the active set for a local refinement).
+// bodies for the global step, the active set for a local refinement):
+// min(Parallelism or GOMAXPROCS, n/parallelGrain), at least 1.
 func (l *Layout) workersFor(n int) int {
 	p := l.params.Parallelism
 	if p <= 0 {
@@ -387,20 +435,21 @@ func (l *Layout) workersFor(n int) int {
 // idle at the tail; small chunks from a shared counter balance the load.
 const workChunk = 64
 
-// forRange runs fn over [0, n) in workChunk-sized ranges that workers
-// claim from an atomic counter, and guarantees l.stacks[w] exists for
-// each worker. With a single worker fn runs inline over the whole range.
-// fn must only write state owned by its own units (or its own worker
-// slot), which is what makes the fan-out race-free; and since a unit's
-// result then cannot depend on which worker ran it, the assignment never
-// changes a bit.
-func (l *Layout) forRange(n int, fn func(worker, lo, hi int)) {
+// forRange runs the per-body kernel fn over units [0, n) in
+// workChunk-sized ranges that workers claim from an atomic counter, and
+// guarantees l.stacks[w] exists for each worker. With a single worker fn
+// runs inline over the whole range. Kernels are method expressions, not
+// closures, so a serial step allocates nothing. fn must only write state
+// owned by its own units (or its own worker slot), which is what makes
+// the fan-out race-free; and since a unit's result then cannot depend on
+// which worker ran it, the assignment never changes a bit.
+func (l *Layout) forRange(n int, fn func(l *Layout, worker, lo, hi int)) {
 	w := l.workersFor(n)
 	for len(l.stacks) < w {
 		l.stacks = append(l.stacks, nil)
 	}
 	if w == 1 {
-		fn(0, 0, n)
+		fn(l, 0, 0, n)
 		return
 	}
 	var run struct { // one allocation for both, as the goroutines share them
@@ -416,57 +465,65 @@ func (l *Layout) forRange(n int, fn func(worker, lo, hi int)) {
 				if lo >= n {
 					return
 				}
-				fn(k, lo, min(lo+workChunk, n))
+				fn(l, k, lo, min(lo+workChunk, n))
 			}
 		}(k)
 	}
 	run.wg.Wait()
 }
 
-// naiveParallelMin is the body count below which the naive engine always
-// takes the serial path regardless of Parallelism. The parallel variant
-// evaluates every pair from both sides — twice the arithmetic — so it
-// needs enough workers over enough bodies to amortize; below this point
-// it is strictly slower (BENCH_layout.json had n=1000/p=4 at 1.7× the
-// p=1 cost). A var, not a const, so tests can force the parallel path on
-// small graphs. Harmless for determinism: both paths are bitwise equal.
+// naiveParallelMin is the body count below which a whole-layout naive
+// step always takes the serial i<j path regardless of Parallelism. The
+// per-body kernel evaluates every pair from both sides — twice the
+// arithmetic — so it needs enough workers over enough bodies to amortize;
+// below this point it is strictly slower (BENCH_layout.json had
+// n=1000/p=4 at 1.7× the p=1 cost). A var, not a const, so tests can
+// force the per-body kernel on small graphs. Harmless for determinism:
+// both paths are bitwise equal.
 var naiveParallelMin = 2048
 
-// repelNaive computes the exact all-pairs repulsion. The serial path uses
-// the classic i<j symmetric loop (each pair once); the parallel path has
-// every body accumulate over all partners, with the pair force always
-// evaluated from the lower-index side. Both orderings apply bitwise-equal
-// terms to each body in the same (ascending index) sequence, so every
-// Parallelism setting produces identical floating-point results.
-func (l *Layout) repelNaive() {
+// naivePairs is the serial whole-layout naive pass: the classic i<j loop
+// evaluates each pair once, then every body adds its springs. Each body
+// receives bitwise-equal terms in the same ascending-partner order as
+// naiveForces, so the two paths agree at every Parallelism.
+func (l *Layout) naivePairs() {
 	c := l.params.Charge
-	if l.workerCount() == 1 || len(l.bodies) < naiveParallelMin {
-		for i, a := range l.bodies {
-			for _, b := range l.bodies[i+1:] {
-				f := coulomb(a, b, c)
-				a.force = a.force.Add(f)
-				b.force = b.force.Sub(f)
-			}
-		}
-		return
+	for _, b := range l.bodies {
+		b.force = Point{}
 	}
-	l.forRange(len(l.bodies), func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			a := l.bodies[i]
-			f := a.force
-			for j, b := range l.bodies {
-				if j == i {
-					continue
-				}
-				if i < j {
-					f = f.Add(coulomb(a, b, c))
-				} else {
-					f = f.Sub(coulomb(b, a, c))
-				}
-			}
-			a.force = f
+	for i, a := range l.bodies {
+		for _, b := range l.bodies[i+1:] {
+			f := coulomb(a, b, c)
+			a.force = a.force.Add(f)
+			b.force = b.force.Sub(f)
 		}
-	})
+	}
+	for i, b := range l.bodies {
+		b.force = l.springsOn(i, b.force)
+	}
+}
+
+// naiveForces is the per-body naive kernel over units [lo, hi): each body
+// accumulates exact repulsion over all partners, the pair force always
+// evaluated from the lower-index side, then adds its springs.
+func (l *Layout) naiveForces(_, lo, hi int) {
+	c := l.params.Charge
+	for k := lo; k < hi; k++ {
+		i := l.unit(k)
+		a := l.bodies[i]
+		var f Point
+		for j, b := range l.bodies {
+			if j == i {
+				continue
+			}
+			if i < j {
+				f = f.Add(coulomb(a, b, c))
+			} else {
+				f = f.Sub(coulomb(b, a, c))
+			}
+		}
+		a.force = l.springsOn(i, f)
+	}
 }
 
 // coulomb returns the force pushing a away from b.
@@ -482,6 +539,31 @@ func coulomb(a, b *Body, c float64) Point {
 	}
 	mag := c * a.Charge * b.Charge / (dist * dist)
 	return d.Scale(mag / dist)
+}
+
+// springsOn adds body i's incident springs to f, in ascending spring
+// order. A spring to a body outside the step's index set applies
+// one-sidedly: that endpoint is not integrated, so its force is never
+// read.
+func (l *Layout) springsOn(i int, f Point) Point {
+	k := l.params.Spring
+	rest := l.params.SpringLength
+	for _, e := range l.adj[i] {
+		si := e
+		if si < 0 {
+			si = -si
+		}
+		sf, ok := l.springForce(int(si-1), k, rest)
+		if !ok {
+			continue
+		}
+		if e > 0 {
+			f = f.Add(sf)
+		} else {
+			f = f.Sub(sf)
+		}
+	}
+	return f
 }
 
 // springForce returns the Hooke force on spring si's A endpoint (B
@@ -546,53 +628,6 @@ func (l *Layout) buildAdjacency() {
 	l.adjDirty = false
 }
 
-// applySprings accumulates the Hooke attractions. The serial path walks
-// the spring list once; the parallel path has each body pull its own
-// incident springs from the prebuilt adjacency, so every write stays on
-// a body the worker owns. Per body, both paths apply bitwise-equal terms
-// in ascending spring order — results are identical at every Parallelism.
-func (l *Layout) applySprings() {
-	k := l.params.Spring
-	rest := l.params.SpringLength
-	if l.adjDirty || len(l.adj) != len(l.bodies) {
-		l.buildAdjacency()
-	}
-	if l.workerCount() == 1 || len(l.springs) == 0 {
-		for si, e := range l.ends {
-			f, ok := l.springForce(si, k, rest)
-			if !ok {
-				continue
-			}
-			a, b := l.bodies[e[0]], l.bodies[e[1]]
-			a.force = a.force.Add(f)
-			b.force = b.force.Sub(f)
-		}
-		return
-	}
-	l.forRange(len(l.bodies), func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			b := l.bodies[i]
-			f := b.force
-			for _, e := range l.adj[i] {
-				si := e
-				if si < 0 {
-					si = -si
-				}
-				sf, ok := l.springForce(int(si-1), k, rest)
-				if !ok {
-					continue
-				}
-				if e > 0 {
-					f = f.Add(sf)
-				} else {
-					f = f.Sub(sf)
-				}
-			}
-			b.force = f
-		}
-	})
-}
-
 // bodyTimeStep clamps the integration step of one body by its aggregate
 // spring stiffness k_i = Spring · Σ incident strengths: the symplectic
 // Euler update is only stable while dt·√k < ~2, and a hub body (a
@@ -610,12 +645,16 @@ func (l *Layout) bodyTimeStep(dt float64, i int) float64 {
 	return dt
 }
 
+// integrate moves the bodies of the step's index set, in ascending index
+// order, and returns their maximum displacement.
 func (l *Layout) integrate() float64 {
 	dt := l.params.TimeStep
 	damp := l.params.Damping
 	maxV := l.params.MaxVelocity
 	var maxDisp float64
-	for i, b := range l.bodies {
+	for k, n := 0, l.units(); k < n; k++ {
+		i := l.unit(k)
+		b := l.bodies[i]
 		if b.Pinned {
 			b.Vel = Point{}
 			continue
@@ -716,12 +755,18 @@ func Centroid(bodies []*Body) Point {
 func ScatterAround(center Point, ids []string, radius float64) []Point {
 	out := make([]Point, len(ids))
 	for i, id := range ids {
-		h := fnv64(id)
-		angle := float64(h%3600) / 3600 * 2 * math.Pi
-		r := radius * (0.5 + float64((h/3600)%100)/200)
-		out[i] = center.Add(Point{r * math.Cos(angle), r * math.Sin(angle)})
+		out[i] = center.Add(jitter(id, radius))
 	}
 	return out
+}
+
+// jitter is a deterministic offset of length radius·[0.5, 1) in a
+// direction derived from id's hash.
+func jitter(id string, radius float64) Point {
+	h := fnv64(id)
+	angle := float64(h%3600) / 3600 * 2 * math.Pi
+	r := radius * (0.5 + float64((h/3600)%100)/200)
+	return Point{r * math.Cos(angle), r * math.Sin(angle)}
 }
 
 // fnv64 is the FNV-1a hash, used for deterministic pseudo-random

@@ -222,7 +222,7 @@ func (l *Layout) RunMultilevel(algo Algorithm, mp MultilevelParams) MultilevelSt
 		if k > 0 {
 			eps = mp.Eps * math.Sqrt(float64(l.Len())/float64(lev.Len()))
 		}
-		steps, residual := runBudget(lev, algo, budget, eps)
+		steps, residual := lev.relax(algo, nil, budget, eps)
 		stepC, resG := mlLevelObs(k)
 		stepC.Add(uint64(steps))
 		resG.Set(residual)
@@ -260,21 +260,6 @@ func interpolate(fine, coarse *Layout, owner []int32, jitterFrac float64) {
 		if members[owner[i]] <= 1 {
 			continue // sole member: it IS the super-body
 		}
-		h := fnv64(b.ID)
-		angle := float64(h%3600) / 3600 * 2 * math.Pi
-		r := radius * (0.5 + float64((h/3600)%100)/200)
-		b.Pos = b.Pos.Add(Point{r * math.Cos(angle), r * math.Sin(angle)})
+		b.Pos = b.Pos.Add(jitter(b.ID, radius))
 	}
-}
-
-// runBudget is Run returning both the steps taken and the last residual.
-func runBudget(l *Layout, algo Algorithm, maxSteps int, eps float64) (int, float64) {
-	var d float64
-	for i := 0; i < maxSteps; i++ {
-		d = l.Step(algo)
-		if d < eps {
-			return i + 1, d
-		}
-	}
-	return maxSteps, d
 }

@@ -224,26 +224,20 @@ func (a *quadArena) forceOn(root int32, bodies []*Body, bi int32, theta, chargeK
 	return out, stack
 }
 
-func (l *Layout) repelBarnesHut() {
-	root := l.arena.build(l.bodies)
-	obsQuadNodes.Set(float64(len(l.arena.nodes)))
-	obsQuadDepth.Set(float64(l.arena.maxDepth))
-	if root == noNode {
-		return
-	}
+// barnesHutForces is the per-body Barnes-Hut kernel over units [lo, hi)
+// of the current step: each body walks the quadtree l.root (built over
+// every body) with worker w's stack, then adds its springs.
+func (l *Layout) barnesHutForces(w, lo, hi int) {
 	theta := l.params.Theta
 	if theta <= 0 {
 		theta = 0.7
 	}
-	chargeK := l.params.Charge
-	l.forRange(len(l.bodies), func(w, lo, hi int) {
-		stack := l.stacks[w]
-		for i := lo; i < hi; i++ {
-			b := l.bodies[i]
-			var f Point
-			f, stack = l.arena.forceOn(root, l.bodies, int32(i), theta, chargeK, stack)
-			b.force = b.force.Add(f)
-		}
-		l.stacks[w] = stack // keep the grown capacity for the next step
-	})
+	stack := l.stacks[w]
+	for k := lo; k < hi; k++ {
+		i := l.unit(k)
+		var f Point
+		f, stack = l.arena.forceOn(l.root, l.bodies, int32(i), theta, l.params.Charge, stack)
+		l.bodies[i].force = l.springsOn(i, f)
+	}
+	l.stacks[w] = stack // keep the grown capacity for the next step
 }

@@ -101,17 +101,27 @@ func TestQuadtreeDegenerateBoundingBox(t *testing.T) {
 	})
 }
 
-// The arena is reused: after a warm-up step, a serial Barnes-Hut step
-// performs (almost) no heap allocation — the point of the slab design.
+// The arena is reused and the per-body kernels are method expressions,
+// not closures: after a warm-up step, a serial step of either engine
+// performs no heap allocation at all, and a local refinement's
+// allocations (its neighborhood search) do not grow with its step budget.
 func TestBarnesHutStepAllocationLean(t *testing.T) {
 	p := DefaultParams()
 	p.Parallelism = 1
 	l := New(p)
 	addScatter(t, l, 500, "a")
-	l.Step(BarnesHut) // warm up arena, stacks, adjacency
-	allocs := testing.AllocsPerRun(10, func() { l.Step(BarnesHut) })
-	if allocs > 4 {
-		t.Errorf("serial Barnes-Hut step allocates %.0f objects/step, want ~0", allocs)
+	for _, algo := range []Algorithm{BarnesHut, Naive} {
+		l.Step(algo) // warm up arena, stacks, adjacency
+		if allocs := testing.AllocsPerRun(10, func() { l.Step(algo) }); allocs != 0 {
+			t.Errorf("serial step (algo %d) allocates %.0f objects/step, want 0", algo, allocs)
+		}
+	}
+	seeds := []string{"a7", "a100", "a250"}
+	refine := func(maxSteps int) float64 {
+		return testing.AllocsPerRun(5, func() { l.RefineLocal(BarnesHut, seeds, 2, maxSteps, 0) })
+	}
+	if one, many := refine(1), refine(20); many != one {
+		t.Errorf("RefineLocal allocates %.0f objects at 1 step but %.0f at 20, want no per-step growth", one, many)
 	}
 }
 
@@ -121,12 +131,12 @@ func TestBarnesHutConvergesToNaiveAsThetaShrinks(t *testing.T) {
 	for _, seed := range []string{"s", "t", "u"} {
 		l := New(DefaultParams())
 		addScatter(t, l, 300, seed)
+		if err := l.SetSprings(nil); err != nil { // repulsion only
+			t.Fatal(err)
+		}
 
 		// Exact forces.
-		for _, b := range l.bodies {
-			b.force = Point{}
-		}
-		l.repelNaive()
+		l.forces(Naive, nil)
 		exact := make([]Point, len(l.bodies))
 		var scale float64
 		for i, b := range l.bodies {
@@ -143,10 +153,7 @@ func TestBarnesHutConvergesToNaiveAsThetaShrinks(t *testing.T) {
 			p := l.Params()
 			p.Theta = theta
 			l.SetParams(p)
-			for _, b := range l.bodies {
-				b.force = Point{}
-			}
-			l.repelBarnesHut()
+			l.forces(BarnesHut, nil)
 			var worst float64
 			for i, b := range l.bodies {
 				if e := b.force.Sub(exact[i]).Norm() / scale; e > worst {

@@ -4,6 +4,7 @@ import (
 	"encoding/xml"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -45,43 +46,64 @@ func FromSimGridXML(r io.Reader) (*Platform, error) {
 	if name == "" {
 		name = "grid"
 	}
-	p := New(name)
 
-	// Clusters directly under the root live in an implicit site.
+	// Validate every site and cluster before building anything: the
+	// constructors panic on duplicate zone names and nonpositive
+	// bandwidths, and the host cap holds for the platform as a whole.
+	type sgSite struct {
+		id       string
+		clusters []sgCluster
+	}
+	var sites []sgSite
 	if len(root.Clusters) > 0 {
-		siteName := root.ID + "-site"
-		p.AddSite(siteName, defaultSiteConfig())
-		for _, c := range root.Clusters {
-			cfg, err := c.config()
-			if err != nil {
-				return nil, err
-			}
-			if err := addSGCluster(p, siteName, c, cfg); err != nil {
-				return nil, err
-			}
-		}
+		// Clusters directly under the root live in an implicit site.
+		sites = append(sites, sgSite{root.ID + "-site", root.Clusters})
 	}
 	for _, site := range root.Zones {
-		siteName := site.ID
-		if siteName == "" {
+		if site.ID == "" {
 			return nil, fmt.Errorf("platform: site zone without id")
 		}
-		p.AddSite(siteName, defaultSiteConfig())
 		if len(site.Zones) > 0 {
-			return nil, fmt.Errorf("platform: zone %q: nesting deeper than grid>site>cluster is not supported", siteName)
+			return nil, fmt.Errorf("platform: zone %q: nesting deeper than grid>site>cluster is not supported", site.ID)
 		}
-		for _, c := range site.Clusters {
+		sites = append(sites, sgSite{site.ID, site.Clusters})
+	}
+	seen := map[string]bool{name: true}
+	cfgs := make([][]ClusterConfig, len(sites))
+	hosts := 0
+	for i, site := range sites {
+		if seen[site.id] {
+			return nil, fmt.Errorf("platform: duplicate zone id %q", site.id)
+		}
+		seen[site.id] = true
+		for _, c := range site.clusters {
+			if c.ID == "" {
+				return nil, fmt.Errorf("platform: cluster without id in site %q", site.id)
+			}
+			if seen[c.ID] {
+				return nil, fmt.Errorf("platform: duplicate zone id %q", c.ID)
+			}
+			seen[c.ID] = true
 			cfg, err := c.config()
 			if err != nil {
 				return nil, err
 			}
-			if err := addSGCluster(p, siteName, c, cfg); err != nil {
-				return nil, err
+			if hosts += cfg.Hosts; hosts > maxHosts {
+				return nil, fmt.Errorf("platform: more than %d hosts", maxHosts)
 			}
+			cfgs[i] = append(cfgs[i], cfg)
 		}
 	}
-	if p.NumHosts() == 0 {
+	if hosts == 0 {
 		return nil, fmt.Errorf("platform: no clusters found")
+	}
+
+	p := New(name)
+	for i, site := range sites {
+		p.AddSite(site.id, defaultSiteConfig())
+		for j, c := range site.clusters {
+			p.AddCluster(site.id, c.ID, cfgs[i][j])
+		}
 	}
 	return p, nil
 }
@@ -93,14 +115,6 @@ func defaultSiteConfig() SiteConfig {
 		UplinkBandwidth:   10 * Gbps,
 		UplinkLatency:     5e-3,
 	}
-}
-
-func addSGCluster(p *Platform, site string, c sgCluster, cfg ClusterConfig) error {
-	if c.ID == "" {
-		return fmt.Errorf("platform: cluster without id in site %q", site)
-	}
-	p.AddCluster(site, c.ID, cfg)
-	return nil
 }
 
 type sgPlatform struct {
@@ -155,13 +169,23 @@ func (c sgCluster) config() (ClusterConfig, error) {
 	} else if cfg.BackboneLatency, err = ParseLatency(c.BBLat); err != nil {
 		return cfg, fmt.Errorf("platform: cluster %q bb_lat: %w", c.ID, err)
 	}
+	for _, bw := range []float64{cfg.HostLinkBandwidth, cfg.BackboneBandwidth} {
+		if !(bw > 0 && bw <= math.MaxFloat64) { // rejects NaN and ±Inf too
+			return cfg, fmt.Errorf("platform: cluster %q: bandwidth %g is not positive and finite", c.ID, bw)
+		}
+	}
 	cfg.UplinkBandwidth = cfg.BackboneBandwidth
 	cfg.UplinkLatency = cfg.BackboneLatency
 	return cfg, nil
 }
 
+// maxHosts caps the hosts of a platform read from SimGrid XML. A radical
+// is untrusted input: "0-100000000" would otherwise build 10⁸ hosts, and
+// a range spanning the int domain overflows the count.
+const maxHosts = 1 << 20
+
 // radicalCount parses SimGrid's radical attribute ("0-99" or "1-11,13")
-// into a host count.
+// into a host count of at most maxHosts.
 func radicalCount(radical string) (int, error) {
 	if radical == "" {
 		return 0, fmt.Errorf("missing radical")
@@ -175,12 +199,18 @@ func radicalCount(radical string) (int, error) {
 			if err1 != nil || err2 != nil || b < a {
 				return 0, fmt.Errorf("bad radical range %q", part)
 			}
+			if b-a >= maxHosts { // also catches b-a+1 overflowing
+				return 0, fmt.Errorf("radical range %q exceeds %d hosts", part, maxHosts)
+			}
 			total += b - a + 1
 		} else {
 			if _, err := strconv.Atoi(part); err != nil {
 				return 0, fmt.Errorf("bad radical element %q", part)
 			}
 			total++
+		}
+		if total > maxHosts {
+			return 0, fmt.Errorf("radical %q exceeds %d hosts", radical, maxHosts)
 		}
 	}
 	return total, nil

@@ -109,6 +109,18 @@ func TestFromSimGridXMLErrors(t *testing.T) {
 		"cluster no id": `<platform><zone id="g"><cluster radical="0-1" speed="1Gf" bw="1Bps" lat="0"/></zone></platform>`,
 		"site no id":    `<platform><zone id="g"><zone><cluster id="c" radical="0-1" speed="1Gf" bw="1Bps" lat="0"/></zone></zone></platform>`,
 		"too deep":      `<platform><zone id="g"><zone id="s"><zone id="x"/></zone></zone></platform>`,
+		"dup cluster":   `<platform><zone id="g"><cluster id="c" radical="0-1" speed="1Gf" bw="1Bps" lat="0"/><cluster id="c" radical="0-1" speed="1Gf" bw="1Bps" lat="0"/></zone></platform>`,
+		"dup site":      `<platform><zone id="g"><zone id="s"><cluster id="c" radical="0-1" speed="1Gf" bw="1Bps" lat="0"/></zone><zone id="s"/></zone></platform>`,
+		"site is root":  `<platform><zone id="g"><zone id="g"><cluster id="c" radical="0-1" speed="1Gf" bw="1Bps" lat="0"/></zone></zone></platform>`,
+		"cluster=site":  `<platform><zone id="g"><zone id="s"><cluster id="s" radical="0-1" speed="1Gf" bw="1Bps" lat="0"/></zone></zone></platform>`,
+		"zero bw":       `<platform><zone id="g"><cluster id="c" radical="0-1" speed="1Gf" bw="0Bps" lat="0"/></zone></platform>`,
+		"negative bb":   `<platform><zone id="g"><cluster id="c" radical="0-1" speed="1Gf" bw="1Bps" bb_bw="-1Bps" lat="0"/></zone></platform>`,
+		"infinite bw":   `<platform><zone id="g"><cluster id="c" radical="0-1" speed="1Gf" bw="1e308GBps" lat="0"/></zone></platform>`,
+		"huge radical":  `<platform><zone id="g"><cluster id="c" radical="0-100000000" speed="1Gf" bw="1Bps" lat="0"/></zone></platform>`,
+		// Each cluster fits under the cap; together they do not.
+		"too many hosts": `<platform><zone id="g">
+			<cluster id="a" radical="0-600000" speed="1Gf" bw="1Bps" lat="0"/>
+			<cluster id="b" radical="0-600000" speed="1Gf" bw="1Bps" lat="0"/></zone></platform>`,
 	}
 	for name, text := range cases {
 		if _, err := FromSimGridXML(strings.NewReader(text)); err == nil {
@@ -119,11 +131,12 @@ func TestFromSimGridXMLErrors(t *testing.T) {
 
 func TestRadicalCount(t *testing.T) {
 	cases := map[string]int{
-		"0-99":     100,
-		"1-11":     11,
-		"5":        1,
-		"0-1,5,7":  4,
-		"1-2, 4-5": 4,
+		"0-99":      100,
+		"1-11":      11,
+		"5":         1,
+		"0-1,5,7":   4,
+		"1-2, 4-5":  4,
+		"0-1048575": maxHosts,
 	}
 	for radical, want := range cases {
 		got, err := radicalCount(radical)
@@ -131,7 +144,12 @@ func TestRadicalCount(t *testing.T) {
 			t.Errorf("radicalCount(%q) = %d, %v; want %d", radical, got, err, want)
 		}
 	}
-	for _, bad := range []string{"", "a-b", "3-", "x"} {
+	for _, bad := range []string{"", "a-b", "3-", "x",
+		"0-9223372036854775807", // the count overflows int
+		"0-100000000",           // 10⁸ hosts
+		"0-1048576",             // one past the cap
+		"0-1048575,7",           // the parts together pass the cap
+	} {
 		if _, err := radicalCount(bad); err == nil {
 			t.Errorf("radicalCount(%q) accepted", bad)
 		}
@@ -163,4 +181,19 @@ func TestUnitParsers(t *testing.T) {
 	if _, err := ParseSpeed(""); err == nil {
 		t.Error("empty speed accepted")
 	}
+}
+
+// FromSimGridXML reads untrusted files: whatever the input, it must not
+// panic, and a platform it accepts stays under the host cap.
+func FuzzSimGridXML(f *testing.F) {
+	f.Add(sampleXML)
+	f.Fuzz(func(t *testing.T, text string) {
+		p, err := FromSimGridXML(strings.NewReader(text))
+		if err != nil {
+			return
+		}
+		if n := p.NumHosts(); n < 1 || n > maxHosts {
+			t.Fatalf("accepted a platform of %d hosts", n)
+		}
+	})
 }
