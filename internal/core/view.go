@@ -173,12 +173,21 @@ func (v *View) Mapping() *vizgraph.Mapping { return &v.mapping }
 // TimeSlice returns the current temporal aggregation window.
 func (v *View) TimeSlice() aggregation.TimeSlice { return v.slice }
 
+// maxSliceTime bounds the ends of a time slice, in trace seconds (about
+// 3·10^10 years). Eq. 1 integrates every metric over the slice; past
+// this bound the integral of an ordinary metric can overflow to ±Inf or
+// NaN, which no graph response can encode.
+const maxSliceTime = 1e18
+
 // SetTimeSlice selects the temporal neighbourhood Δ. Node identities are
 // unaffected, so the layout keeps every position: only sizes and fills
-// change.
+// change. Both ends must lie within ±maxSliceTime.
 func (v *View) SetTimeSlice(start, end float64) error {
 	if end <= start {
 		return fmt.Errorf("core: empty time slice [%g, %g]", start, end)
+	}
+	if !(math.Abs(start) <= maxSliceTime && math.Abs(end) <= maxSliceTime) {
+		return fmt.Errorf("core: time slice [%g, %g] outside ±%g", start, end, maxSliceTime)
 	}
 	v.slice = aggregation.TimeSlice{Start: start, End: end}
 	v.dirty = true

@@ -1,10 +1,37 @@
 package ingest
 
-import "bytes"
+import (
+	"bufio"
+	"bytes"
+	"compress/gzip"
+	"io"
+)
 
 // Content sniffing shared by the loaders (internal/traceio and
 // internal/store both need it; keeping it here avoids an import cycle
 // between them).
+
+// Sniff prepares r for format detection: a gzip stream is decompressed
+// transparently, and head holds the first 4 KiB of the (decompressed)
+// content, fewer when the input is shorter. The returned reader yields
+// the whole content, head included; head is valid until it is read.
+func Sniff(r io.Reader) (*bufio.Reader, []byte, error) {
+	br := bufio.NewReaderSize(r, 64<<10)
+	if head, err := br.Peek(2); err == nil && IsGzip(head) {
+		// The gzip reader holds no resource of its own, so it needs no
+		// Close; its checksum is verified when the stream hits EOF.
+		gz, err := gzip.NewReader(br)
+		if err != nil {
+			return nil, nil, err
+		}
+		br = bufio.NewReaderSize(gz, 64<<10)
+	}
+	head, err := br.Peek(4096)
+	if err != nil && err != io.EOF {
+		return nil, nil, err
+	}
+	return br, head, nil
+}
 
 // gzipMagic is the two-byte header every gzip stream starts with.
 var gzipMagic = []byte{0x1f, 0x8b}

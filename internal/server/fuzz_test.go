@@ -4,6 +4,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strings"
 	"testing"
 )
 
@@ -37,6 +38,43 @@ func FuzzGraphQuery(f *testing.F) {
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/graph?"+q.Encode(), nil))
 		if rec.Code != http.StatusOK && rec.Code != http.StatusBadRequest {
 			t.Fatalf("viewport=%q zoom=%q steps=%q: status %d: %s", viewport, zoom, steps, rec.Code, rec.Body)
+		}
+	})
+}
+
+// FuzzSliceBody posts arbitrary bodies to /api/slice: each must end in a
+// 200 or a 400, and whatever slice it left behind must still render, so
+// the following GET /api/graph?steps=1 must answer 200.
+func FuzzSliceBody(f *testing.F) {
+	for _, seed := range []string{
+		`{"start":1,"end":5}`,
+		`{"start":5,"end":1}`,
+		`{"start":0,"end":0}`,
+		`{"start":-1e308,"end":1e308}`,
+		`{"start":-1e307,"end":1e308}`,
+		`{"start":1e18,"end":1.0000001e18}`,
+		`{"start":1e-320,"end":5e-324}`,
+		`{"start":1e309}`,
+		`{"start":"1"}`,
+		`{"start":1,"end":5,"x":[]}`,
+		`{}`,
+		`[]`,
+		``,
+		`{"start":1`,
+	} {
+		f.Add(seed)
+	}
+	h := New(testView(f)).Handler()
+	f.Fuzz(func(t *testing.T, body string) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/slice", strings.NewReader(body)))
+		if rec.Code != http.StatusOK && rec.Code != http.StatusBadRequest {
+			t.Fatalf("body %q: status %d: %s", body, rec.Code, rec.Body)
+		}
+		rec = httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/graph?steps=1", nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("after slice body %q: graph status %d: %s", body, rec.Code, rec.Body)
 		}
 	})
 }

@@ -356,12 +356,12 @@ func (s *Stream) tick(batch []Op, final bool, firstOpNs int64) time.Duration {
 	app := s.tr.NewAppender()
 	applied, errs := 0, 0
 	for _, op := range batch {
-		if err := op.apply(s.tr, app); err != nil {
+		if err := op.Apply(app); err != nil {
 			errs++
 			continue
 		}
 		applied++
-		if op.Kind == OpDeclare {
+		if op.Kind == trace.OpDeclare {
 			s.parents[op.Resource] = op.Aux
 		}
 	}

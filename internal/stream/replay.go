@@ -55,12 +55,12 @@ func (r *Replay) Run(ctx context.Context, emit func(Op) error) error {
 		tl := r.cold.Timeline(res, met)
 		for j := 0; j < tl.Len(); j++ {
 			p := tl.PointAt(j)
-			ops = append(ops, Op{Kind: OpSet, T: p.T, Resource: res, Metric: met, Value: p.V})
+			ops = append(ops, Op{Kind: trace.OpSet, T: p.T, Resource: res, Metric: met, Value: p.V})
 		}
 	}
 	for _, res := range r.cold.Resources() {
 		for _, sp := range r.cold.StatePoints(res.Name) {
-			ops = append(ops, Op{Kind: OpState, T: sp.T, Resource: res.Name, Aux: sp.Value})
+			ops = append(ops, Op{Kind: trace.OpState, T: sp.T, Resource: res.Name, Aux: sp.Value})
 		}
 	}
 	// Time order first (monotone appends everywhere), then the same tie
@@ -96,5 +96,5 @@ func (r *Replay) Run(ctx context.Context, emit func(Op) error) error {
 		}
 	}
 	_, end := r.cold.Window()
-	return emit(Op{Kind: OpEnd, T: end})
+	return emit(Op{Kind: trace.OpEnd, T: end})
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"viva/internal/obs"
+	"viva/internal/trace"
 )
 
 // SelfSource adapts the obs span feed into a live trace source: every
@@ -36,7 +37,7 @@ const (
 // interleave slightly out of order in the feed, and the live trace's
 // append fast path wants time moving forward.
 func (s *SelfSource) Run(ctx context.Context, emit func(Op) error) error {
-	if err := emit(Op{Kind: OpDeclare, Resource: selfRoot, Metric: selfRootType}); err != nil {
+	if err := emit(Op{Kind: trace.OpDeclare, Resource: selfRoot, Metric: selfRootType}); err != nil {
 		return err
 	}
 	declared := make(map[obs.StageID]bool)
@@ -57,15 +58,15 @@ func (s *SelfSource) Run(ctx context.Context, emit func(Op) error) error {
 			}
 			if !declared[ev.Stage] {
 				declared[ev.Stage] = true
-				if err := emit(Op{Kind: OpDeclare, Resource: name, Metric: selfStageType, Aux: selfRoot}); err != nil {
+				if err := emit(Op{Kind: trace.OpDeclare, Resource: name, Metric: selfStageType, Aux: selfRoot}); err != nil {
 					return err
 				}
 			}
-			if err := emit(Op{Kind: OpSet, T: t, Resource: name, Metric: selfMetric,
+			if err := emit(Op{Kind: trace.OpSet, T: t, Resource: name, Metric: selfMetric,
 				Value: float64(ev.DurNs) / 1e6}); err != nil {
 				return err
 			}
-			if err := emit(Op{Kind: OpEnd, T: t}); err != nil {
+			if err := emit(Op{Kind: trace.OpEnd, T: t}); err != nil {
 				return err
 			}
 		}

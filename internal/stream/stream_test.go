@@ -325,3 +325,23 @@ func TestFollowSource(t *testing.T) {
 		t.Fatalf("followed trace differs from source file (%d vs %d bytes)", got.Len(), enc.Len())
 	}
 }
+
+// TestFollowPrimeTornTail: a data line still being written at the tail
+// must not fail Prime, which reads only the catalog.
+func TestFollowPrimeTornTail(t *testing.T) {
+	path := t.TempDir() + "/torn.viva"
+	body := "# viva trace v1\nresource g group -\nresource h host g\nedge g h\nset 1 h power 5\nset 1.5 h"
+	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tr := trace.New()
+	if err := NewFollow(path).Prime(tr); err != nil {
+		t.Fatalf("Prime: %v", err)
+	}
+	if got := len(tr.Resources()); got != 2 {
+		t.Fatalf("primed %d resources, want 2", got)
+	}
+	if got := len(tr.Edges()); got != 1 {
+		t.Fatalf("primed %d edges, want 1", got)
+	}
+}

@@ -12,20 +12,23 @@ import "fmt"
 // either interchangeably and produce the same trace.
 //
 // Like the Trace it wraps, an Appender is not safe for concurrent use.
+//
+// The Trace is embedded, so an Appender is a complete trace Sink: the
+// declarations, states and SetEnd go straight to the trace.
 type Appender struct {
-	tr      *Trace
+	*Trace
 	lastKey varKey
 	lastTL  *Timeline
 }
 
 // NewAppender returns an appender writing into tr.
-func (tr *Trace) NewAppender() *Appender { return &Appender{tr: tr} }
+func (tr *Trace) NewAppender() *Appender { return &Appender{Trace: tr} }
 
 func (a *Appender) timeline(resource, metric string) (*Timeline, error) {
 	if a.lastTL != nil && a.lastKey.resource == resource && a.lastKey.metric == metric {
 		return a.lastTL, nil
 	}
-	tl, err := a.tr.ensure(resource, metric)
+	tl, err := a.ensure(resource, metric)
 	if err != nil {
 		return nil, err
 	}
@@ -44,8 +47,8 @@ func (a *Appender) Set(t float64, resource, metric string, v float64) error {
 		return fmt.Errorf("trace: non-finite value for %s/%s at t=%g", resource, metric, v)
 	}
 	tl.Set(t, v)
-	if t > a.tr.end {
-		a.tr.end = t
+	if t > a.end {
+		a.end = t
 	}
 	return nil
 }
@@ -60,8 +63,8 @@ func (a *Appender) Add(t float64, resource, metric string, dv float64) error {
 		return fmt.Errorf("trace: non-finite delta for %s/%s at t=%g", resource, metric, t)
 	}
 	tl.Add(t, dv)
-	if t > a.tr.end {
-		a.tr.end = t
+	if t > a.end {
+		a.end = t
 	}
 	return nil
 }

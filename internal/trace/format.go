@@ -124,102 +124,166 @@ func Read(r io.Reader) (*Trace, error) {
 
 // ReadWith is Read with explicit ingestion options.
 func ReadWith(r io.Reader, opt ingest.Options) (*Trace, error) {
-	a := &formatApplier{tr: New(), in: ingest.NewInterner()}
-	a.app = a.tr.NewAppender()
-	err := ingest.Scan(r, ingest.DialectNative, opt, a.line)
-	ingest.Events.Add(uint64(a.events))
-	if err != nil {
+	tr := New()
+	if err := Decode(r, opt, tr.NewAppender()); err != nil {
 		return nil, err
 	}
-	if err := a.tr.Validate(); err != nil {
+	if err := tr.Validate(); err != nil {
 		return nil, err
 	}
-	return a.tr, nil
+	return tr, nil
 }
 
-// formatApplier is the sequential apply stage of the native reader: it
-// receives zero-copy token batches from the scan stage and performs the
-// stateful directive dispatch, interning the names it keeps.
-type formatApplier struct {
-	tr     *Trace
-	app    *Appender
-	in     *ingest.Interner
-	events int
+// Sink is what a directive applies to: *Trace, *Appender and the
+// columnar store's streaming writer all implement it.
+type Sink interface {
+	DeclareResource(name, typ, parent string) error
+	DeclareEdge(a, b string) error
+	Set(t float64, resource, metric string, v float64) error
+	Add(t float64, resource, metric string, dv float64) error
+	SetState(t float64, resource, value string) error
+	SetEnd(t float64)
 }
 
-func (a *formatApplier) line(lineno int, kind ingest.LineKind, fields [][]byte) error {
-	if kind != ingest.LineEvent {
+// OpKind enumerates trace directives.
+type OpKind uint8
+
+const (
+	// OpSet sets Resource/Metric to Value from time T on.
+	OpSet OpKind = iota
+	// OpAdd adds Value to Resource/Metric from time T on.
+	OpAdd
+	// OpState puts Resource into state Aux at time T ("" = idle).
+	OpState
+	// OpDeclare declares resource Resource of type Metric under parent
+	// Aux ("" = root).
+	OpDeclare
+	// OpEdge declares a topology edge Resource—Aux.
+	OpEdge
+	// OpEnd extends the observation window to T.
+	OpEnd
+)
+
+// Op is one trace directive: a parsed line of the text format, or an
+// operation a live source emits. Field use varies by Kind; see the
+// OpKind constants.
+type Op struct {
+	Kind     OpKind
+	T        float64
+	Resource string
+	Metric   string
+	Aux      string
+	Value    float64
+}
+
+// Apply performs the op on s.
+func (op Op) Apply(s Sink) error {
+	switch op.Kind {
+	case OpSet:
+		return s.Set(op.T, op.Resource, op.Metric, op.Value)
+	case OpAdd:
+		return s.Add(op.T, op.Resource, op.Metric, op.Value)
+	case OpState:
+		return s.SetState(op.T, op.Resource, op.Aux)
+	case OpDeclare:
+		return s.DeclareResource(op.Resource, op.Metric, op.Aux)
+	case OpEdge:
+		return s.DeclareEdge(op.Resource, op.Aux)
+	case OpEnd:
+		s.SetEnd(op.T)
 		return nil
 	}
-	a.events++
-	tr := a.tr
+	return fmt.Errorf("trace: unknown op kind %d", op.Kind)
+}
+
+// Decode scans a text-format trace and applies its directives to s in
+// input order, stopping at the first error. An error from s is wrapped
+// with the line number (and %w, so sentinel errors stay matchable).
+func Decode(r io.Reader, opt ingest.Options, s Sink) error {
+	in := ingest.NewInterner()
+	events := 0
+	err := ingest.Scan(r, ingest.DialectNative, opt, func(lineno int, kind ingest.LineKind, fields [][]byte) error {
+		if kind != ingest.LineEvent {
+			return nil
+		}
+		events++
+		op, err := ParseOp(lineno, fields, in)
+		if err != nil {
+			return err
+		}
+		if err := op.Apply(s); err != nil {
+			return fmt.Errorf("trace: line %d: %w", lineno, err)
+		}
+		return nil
+	})
+	ingest.Events.Add(uint64(events))
+	return err
+}
+
+// ParseOp parses the tokens of one event line (at least one) into a
+// directive, interning the names it keeps: the tokens are only valid
+// during the scan callback.
+func ParseOp(lineno int, fields [][]byte, in *ingest.Interner) (Op, error) {
 	switch string(fields[0]) {
 	case "resource":
 		if len(fields) != 4 {
-			return fmt.Errorf("trace: line %d: resource wants 3 args", lineno)
+			return Op{}, fmt.Errorf("trace: line %d: resource wants 3 args", lineno)
 		}
-		parent := ""
-		if string(fields[3]) != "-" {
-			parent = a.in.Intern(fields[3])
-		}
-		if err := tr.DeclareResource(a.in.Intern(fields[1]), a.in.Intern(fields[2]), parent); err != nil {
-			return fmt.Errorf("trace: line %d: %v", lineno, err)
-		}
+		return Op{Kind: OpDeclare, Resource: in.Intern(fields[1]), Metric: in.Intern(fields[2]),
+			Aux: internOrNone(in, fields[3])}, nil
 	case "edge":
 		if len(fields) != 3 {
-			return fmt.Errorf("trace: line %d: edge wants 2 args", lineno)
+			return Op{}, fmt.Errorf("trace: line %d: edge wants 2 args", lineno)
 		}
-		if err := tr.DeclareEdge(a.in.Intern(fields[1]), a.in.Intern(fields[2])); err != nil {
-			return fmt.Errorf("trace: line %d: %v", lineno, err)
-		}
+		return Op{Kind: OpEdge, Resource: in.Intern(fields[1]), Aux: in.Intern(fields[2])}, nil
 	case "set", "add":
 		if len(fields) != 5 {
-			return fmt.Errorf("trace: line %d: %s wants 4 args", lineno, fields[0])
+			return Op{}, fmt.Errorf("trace: line %d: %s wants 4 args", lineno, fields[0])
 		}
-		t, err := strconv.ParseFloat(string(fields[1]), 64)
+		t, err := parseTime(lineno, fields[1])
 		if err != nil {
-			return fmt.Errorf("trace: line %d: bad time %q", lineno, fields[1])
+			return Op{}, err
 		}
 		v, err := strconv.ParseFloat(string(fields[4]), 64)
 		if err != nil {
-			return fmt.Errorf("trace: line %d: bad value %q", lineno, fields[4])
+			return Op{}, fmt.Errorf("trace: line %d: bad value %q", lineno, fields[4])
 		}
-		resource := a.in.Intern(fields[2])
-		metric := a.in.Intern(fields[3])
-		if fields[0][0] == 's' {
-			err = a.app.Set(t, resource, metric, v)
-		} else {
-			err = a.app.Add(t, resource, metric, v)
+		kind := OpSet
+		if fields[0][0] == 'a' {
+			kind = OpAdd
 		}
-		if err != nil {
-			return fmt.Errorf("trace: line %d: %v", lineno, err)
-		}
+		return Op{Kind: kind, T: t, Resource: in.Intern(fields[2]), Metric: in.Intern(fields[3]), Value: v}, nil
 	case "state":
 		if len(fields) != 4 {
-			return fmt.Errorf("trace: line %d: state wants 3 args", lineno)
+			return Op{}, fmt.Errorf("trace: line %d: state wants 3 args", lineno)
 		}
-		t, err := strconv.ParseFloat(string(fields[1]), 64)
+		t, err := parseTime(lineno, fields[1])
 		if err != nil {
-			return fmt.Errorf("trace: line %d: bad time %q", lineno, fields[1])
+			return Op{}, err
 		}
-		v := ""
-		if string(fields[3]) != "-" {
-			v = a.in.Intern(fields[3])
-		}
-		if err := tr.SetState(t, a.in.Intern(fields[2]), v); err != nil {
-			return fmt.Errorf("trace: line %d: %v", lineno, err)
-		}
+		return Op{Kind: OpState, T: t, Resource: in.Intern(fields[2]), Aux: internOrNone(in, fields[3])}, nil
 	case "end":
 		if len(fields) != 2 {
-			return fmt.Errorf("trace: line %d: end wants 1 arg", lineno)
+			return Op{}, fmt.Errorf("trace: line %d: end wants 1 arg", lineno)
 		}
-		t, err := strconv.ParseFloat(string(fields[1]), 64)
-		if err != nil {
-			return fmt.Errorf("trace: line %d: bad time %q", lineno, fields[1])
-		}
-		tr.SetEnd(t)
-	default:
-		return fmt.Errorf("trace: line %d: unknown directive %q", lineno, fields[0])
+		t, err := parseTime(lineno, fields[1])
+		return Op{Kind: OpEnd, T: t}, err
 	}
-	return nil
+	return Op{}, fmt.Errorf("trace: line %d: unknown directive %q", lineno, fields[0])
+}
+
+func parseTime(lineno int, b []byte) (float64, error) {
+	t, err := strconv.ParseFloat(string(b), 64)
+	if err != nil {
+		return 0, fmt.Errorf("trace: line %d: bad time %q", lineno, b)
+	}
+	return t, nil
+}
+
+// internOrNone interns a name field, mapping the "-" placeholder to "".
+func internOrNone(in *ingest.Interner, b []byte) string {
+	if string(b) == "-" {
+		return ""
+	}
+	return in.Intern(b)
 }

@@ -5,8 +5,10 @@ import (
 	"testing"
 )
 
-// FuzzRead asserts the parser never panics and that anything it accepts
-// survives a write/read round trip.
+// FuzzRead asserts the parser never panics, that at Parallelism 1, 2 and
+// 8 it yields the reference reader's trace byte for byte or its exact
+// error text, and that anything it accepts survives a write/read round
+// trip.
 func FuzzRead(f *testing.F) {
 	f.Add("# viva trace v1\nresource h host -\nset 0 h power 5\nend 1\n")
 	f.Add("resource a group -\nresource b host a\nedge a b\nadd 1 b usage 2\nstate 2 b compute\n")
@@ -14,6 +16,7 @@ func FuzzRead(f *testing.F) {
 	f.Add("resource h host -\nset nan h power nan\n")
 	f.Add("")
 	f.Fuzz(func(t *testing.T, input string) {
+		assertNativeMatchesReference(t, "fuzz", input)
 		tr, err := Read(strings.NewReader(input))
 		if err != nil {
 			return
